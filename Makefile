@@ -1,8 +1,11 @@
 # Convenience wrapper around dune. See README.md.
+# Gates: test, test-props, bench-smoke, kernels-smoke, trace-smoke,
+# fuzz-smoke, serve-smoke, metrics-smoke, perfbench-selftest (the
+# repository benchmark at toy sizes, perfbench/README.md).
 
 .PHONY: all build test test-props bench bench-smoke kernels-smoke \
-	trace-smoke fuzz-smoke serve-smoke metrics-smoke examples clean \
-	reproduce
+	trace-smoke fuzz-smoke serve-smoke metrics-smoke perfbench-selftest \
+	examples clean reproduce
 
 all: build
 
@@ -108,6 +111,13 @@ metrics-smoke:
 	grep -q '^flight: ok' metrics_check.txt
 	grep -q '^# EOF$$' metrics_smoke.txt
 	rm -f metrics_smoke.sock metrics_smoke.txt metrics_check.txt
+
+# Repository-benchmark self-test: runs all three perfbench workloads
+# (cold_solve, serve_read, serve_mixed) at toy sizes, untraced and
+# traced, through the real entry point, and checks that a bare
+# directory is refused. See perfbench/README.md.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 examples:
 	dune exec examples/quickstart.exe

@@ -893,7 +893,30 @@ let ablation_bbd_eps () =
     [ "eps"; "avg canonical nodes"; "avg query time" ]
     rows
 
+(* The binary-search guess set at production eps = 0.3, three ways: the
+   WSPD lattice at eps_w = eps_c/(2+eps_c) inflated by 1/(1-eps_w) plus
+   a 4x top sentinel (the pre-grid production path, rebuilt here from
+   [Wspd.candidate_distances_packed]), the radius grid at step eps_c =
+   eps/5 (what the bound needs) and at eps_c/8 (what
+   [Gcso_general.solve] searches), and every exact pairwise distance.
+   All of them hold a guess in [opt, (1+eps_c) opt]. *)
 let ablation_wspd_granularity () =
+  let eps = 0.3 in
+  let eps_c = eps /. 5.0 in
+  let eps_w = eps_c /. (2.0 +. eps_c) in
+  let wspd_lattice coords =
+    let raw = Cso_geom.Wspd.candidate_distances_packed ~eps:eps_w coords in
+    let inflated = Array.map (fun d -> d /. (1.0 -. eps_w)) raw in
+    Array.append inflated [| 4.0 *. inflated.(Array.length inflated - 1) |]
+  in
+  let exact_lattice pts =
+    let acc = ref [ 0.0 ] in
+    Array.iteri
+      (fun i p ->
+        Array.iteri (fun j q -> if i < j then acc := Point.l2 p q :: !acc) pts)
+      pts;
+    Array.of_list (List.sort_uniq compare !acc)
+  in
   let rngs = rng 23 in
   let rows =
     List.map
@@ -902,66 +925,66 @@ let ablation_wspd_granularity () =
           Array.init n (fun _ ->
               [| Random.State.float rngs 100.0; Random.State.float rngs 100.0 |])
         in
-        let cand = Cso_geom.Wspd.candidate_distances ~eps:0.25 pts in
+        let coords = Cso_metric.Points.of_array pts in
+        let wspd, t_w = Util.time (fun () -> wspd_lattice coords) in
+        let grid = Cso_geom.Radius_grid.make ~eps:eps_c coords in
+        let fine, t_g =
+          Util.time (fun () ->
+              Cso_geom.Radius_grid.make ~eps:(eps_c /. 8.0) coords)
+        in
+        let pairs = n * (n - 1) / 2 in
         [
           string_of_int n;
-          string_of_int (n * (n - 1) / 2);
-          string_of_int (Array.length cand);
-          Printf.sprintf "%.1f%%"
-            (100.0
-            *. float_of_int (Array.length cand)
-            /. float_of_int (max 1 (n * (n - 1) / 2)));
+          string_of_int pairs;
+          Printf.sprintf "%d (%.1f%%)" (Array.length wspd)
+            (100.0 *. float_of_int (Array.length wspd) /. float_of_int pairs);
+          Util.fmt_time t_w;
+          string_of_int (Array.length grid);
+          string_of_int (Array.length fine);
+          Util.fmt_time t_g;
         ])
       [ 100; 400; 1600 ]
   in
   Util.print_table
     ~title:
-      "F4.d  Ablation: WSPD candidate distances vs all pairwise distances \
-       (binary-search lattice size)"
-    [ "n"; "all pairs"; "WSPD candidates"; "fraction" ]
+      "F4.d  Ablation: binary-search guess sets at eps = 0.3 (WSPD lattice at \
+       eps_w vs radius grid at eps/5 and eps/40)"
+    [ "n"; "all pairs"; "WSPD candidates"; "WSPD time"; "grid eps/5";
+      "grid eps/40"; "eps/40 time" ]
     rows;
-  (* Quality impact: solve the same instance over both lattices. *)
+  (* Quality impact: solve the same instance over all three guess sets. *)
   let w = Planted.gcso_disjoint (rng 27) ~n:150 ~m:10 ~k:3 ~z:2 in
   let g = w.Planted.geo in
-  let exact_lattice =
-    let pts = g.Cso_core.Geo_instance.points in
-    let acc = ref [ 0.0 ] in
-    Array.iteri
-      (fun i p ->
-        Array.iteri
-          (fun j q -> if i < j then acc := Point.l2 p q :: !acc)
-          pts)
-      pts;
-    Array.of_list (List.sort_uniq compare !acc)
-  in
-  let on_wspd, t_w =
-    Util.time (fun () -> Gcso_general.solve ~eps:0.3 ~rounds:80 g)
-  in
-  let on_exact, t_e =
-    Util.time (fun () ->
-        Gcso_general.solve ~eps:0.3 ~rounds:80 ~candidates:exact_lattice g)
+  let coords = g.Cso_core.Geo_instance.coords in
+  let lattices =
+    [
+      ("WSPD eps_w, inflated", wspd_lattice coords);
+      ("radius grid eps/5", Cso_geom.Radius_grid.make ~eps:eps_c coords);
+      ( "radius grid eps/40 (solve)",
+        Cso_geom.Radius_grid.make ~eps:(eps_c /. 8.0) coords );
+      ("exact pairwise", exact_lattice g.Cso_core.Geo_instance.points);
+    ]
   in
   Util.print_table
-    ~title:"F4.d' Lattice quality: same instance, WSPD vs exact distances"
-    [ "lattice"; "final radius"; "cost / planted bound"; "time" ]
-    [
-      [
-        "WSPD (1+eps)";
-        Printf.sprintf "%.4f" on_wspd.Gcso_general.radius;
-        Printf.sprintf "%.3f"
-          (Geo_instance.cost g on_wspd.Gcso_general.solution
-          /. w.Planted.g_opt_upper);
-        Util.fmt_time t_w;
-      ];
-      [
-        "exact pairwise";
-        Printf.sprintf "%.4f" on_exact.Gcso_general.radius;
-        Printf.sprintf "%.3f"
-          (Geo_instance.cost g on_exact.Gcso_general.solution
-          /. w.Planted.g_opt_upper);
-        Util.fmt_time t_e;
-      ];
-    ]
+    ~title:"F4.d' Guess-set quality: same instance (n=150), eps = 0.3, 80 rounds"
+    [ "guess set"; "candidates"; "guesses"; "final radius";
+      "cost / planted bound"; "time" ]
+    (List.map
+       (fun (name, candidates) ->
+         let rep, t =
+           Util.time (fun () -> Gcso_general.solve ~eps ~rounds:80 ~candidates g)
+         in
+         [
+           name;
+           string_of_int (Array.length candidates);
+           string_of_int rep.Gcso_general.guesses;
+           Printf.sprintf "%.4f" rep.Gcso_general.radius;
+           Printf.sprintf "%.3f"
+             (Geo_instance.cost g rep.Gcso_general.solution
+             /. w.Planted.g_opt_upper);
+           Util.fmt_time t;
+         ])
+       lattices)
 
 (* ------------------------------------------------------------------ *)
 (* Certified ratios: no ground truth needed. The LP binary search's
@@ -1668,6 +1691,7 @@ module Rect = Cso_geom.Rect
 
 let declared_budgets =
   Bbd.budgets @ Range_tree.budgets @ Gonzalez.budgets @ Mwu.budgets
+  @ Gcso_general.budgets
 
 let budget_pts_of n =
   let st = Random.State.make [| n; 314159 |] in
@@ -1727,7 +1751,26 @@ let budget_series =
       [ 2_000; 8_000; 32_000 ],
       fun n -> counter_delta "lp.mwu.rounds" (fun () -> ignore (mwu_kernel n))
     );
+    ( "cso.gcso.solve_work",
+      [ 512; 1_024; 2_048; 4_096 ],
+      fun n ->
+        let w =
+          Planted.gcso_overlapping (Random.State.make [| n; 2718 |]) ~n ~k:4
+            ~z:2
+        in
+        let (), deltas =
+          Obs.with_delta (fun () ->
+              ignore (Gcso_general.solve ~eps:0.3 ~rounds:10 w.Planted.geo))
+        in
+        let count name =
+          float_of_int (Option.value ~default:0 (List.assoc_opt name deltas))
+        in
+        count "geom.bbd.nodes_visited" +. count "metric.dist_evals" );
   ]
+
+(* [fig_budgets] runs these series further out than the smoke gate. *)
+let budget_full_sizes =
+  [ ("cso.gcso.solve_work", [ 512; 1_024; 2_048; 4_096; 8_192; 16_384; 32_768 ]) ]
 
 let budget_of name =
   match
@@ -1736,16 +1779,19 @@ let budget_of name =
   | Some b -> b
   | None -> failwith ("no declared budget for series " ^ name)
 
-(* Runs every budget series (optionally scaled down), hard-fails on
-   cross-domain-count divergence and on any budget violation, and writes
-   the rows to [json_path]. Returns the rendered row strings. *)
-let run_budget_checks ~label ~scale ~domain_counts ~json_path () =
+(* Runs every budget series (at [budget_full_sizes] when [full]),
+   hard-fails on cross-domain-count divergence and on any budget
+   violation, and writes the rows to [json_path]. Returns the rendered
+   row strings. *)
+let run_budget_checks ~label ~full ~domain_counts ~json_path () =
   with_obs_enabled @@ fun () ->
   let rows = ref [] and json_rows = ref [] in
   List.iter
     (fun (name, sizes, measure) ->
       let sizes =
-        if scale = 1 then sizes else List.map (fun n -> n / scale) sizes
+        match List.assoc_opt name budget_full_sizes with
+        | Some larger when full -> larger
+        | _ -> sizes
       in
       let points_runs =
         List.map
@@ -1801,7 +1847,7 @@ let run_budget_checks ~label ~scale ~domain_counts ~json_path () =
 
 let fig_budgets () =
   ignore
-    (run_budget_checks ~label:"full" ~scale:1 ~domain_counts:[ 1; 2 ]
+    (run_budget_checks ~label:"full" ~full:true ~domain_counts:[ 1; 2 ]
        ~json_path:"BENCH_budgets.json" ())
 
 let budgets_baseline_path = "BENCH_budgets_baseline.json"
@@ -1813,7 +1859,7 @@ let budgets_baseline_path = "BENCH_budgets_baseline.json"
    sub-second, and small-n prefixes inflate polylog slopes. *)
 let smoke_budgets () =
   let json_rows =
-    run_budget_checks ~label:"smoke" ~scale:1 ~domain_counts:[ 1; 2 ]
+    run_budget_checks ~label:"smoke" ~full:false ~domain_counts:[ 1; 2 ]
       ~json_path:"BENCH_budgets_smoke.json" ()
   in
   let body =

@@ -2,7 +2,6 @@ module Points = Cso_metric.Points
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
-module Wspd = Cso_geom.Wspd
 module Gonzalez = Cso_kcenter.Gonzalez
 
 (* Phase-2 pruning on a tagged coreset: deactivate 15r-balls around
@@ -148,21 +147,8 @@ let solve ?(eps = 0.3) ?rounds (g : Geo_instance.t) =
   if Geo_instance.frequency g > 1 then
     invalid_arg "Gcso_disjoint.solve: rectangles must be disjoint (f = 1)";
   let rtree = Range_tree.build_packed g.Geo_instance.coords in
-  (* Same lattice hazard as [Gcso_general.solve]: raw WSPD candidates can
-     all fall below the optimum in its (1+eps) band, leaving the smallest
-     feasible guess unboundedly far above it. Generate finer and inflate
-     so some guess lands in [opt, (1+eps) opt]. *)
-  let gamma =
-    let eps_w = eps /. (2.0 +. eps) in
-    Array.map
-      (fun d -> d /. (1.0 -. eps_w))
-      (Wspd.candidate_distances_packed ~eps:eps_w g.Geo_instance.coords)
-  in
-  let gamma =
-    let len = Array.length gamma in
-    if len = 0 then [| 0.0 |]
-    else Array.append gamma [| 4.0 *. gamma.(len - 1) |]
-  in
+  (* Some guess lands in [opt, (1+eps) opt], and the top one is feasible. *)
+  let gamma = Cso_geom.Radius_grid.make ~eps g.Geo_instance.coords in
   let lo = ref 0 and hi = ref (Array.length gamma - 1) in
   let best = ref None in
   while !lo <= !hi do
@@ -177,4 +163,4 @@ let solve ?(eps = 0.3) ?rounds (g : Geo_instance.t) =
   | Some (solution, radius, coreset_points) ->
       let h0, _ = per_rect_centers g rtree ~r:radius in
       { solution; radius; coreset_points; forced_outliers = List.length h0 }
-  | None -> assert false (* the appended top guess always succeeds *)
+  | None -> assert false (* the top guess is >= the diameter *)

@@ -29,5 +29,5 @@ type report = {
 }
 
 val solve : ?eps:float -> ?rounds:int -> Geo_instance.t -> report
-(** Full algorithm with binary search over WSPD candidate distances.
+(** Full algorithm with binary search over the radius grid at [eps].
     Raises [Invalid_argument] if the instance has frequency > 1. *)

@@ -1,7 +1,6 @@
 module Point = Cso_metric.Point
 module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
-module Wspd = Cso_geom.Wspd
 module Csr = Cso_geom.Csr
 module Mwu = Cso_lp.Mwu
 module Pool = Cso_parallel.Pool
@@ -18,6 +17,19 @@ let c_guesses = Obs.counter "cso.gcso.guesses"
    observed inside a parallel tabulate body, which is safe because
    histogram increments are atomic and commute. *)
 let h_ball_nodes = Obs.Hist.hist "cso.gcso.ball_nodes_per_point"
+
+let budgets =
+  [
+    {
+      Obs.Budget.b_name = "cso.gcso.solve_work";
+      b_expected = 1.0;
+      b_tolerance = 0.3;
+      b_doc =
+        "Thm 3.2 at fixed rounds: BBD nodes + dist evals per cold solve \
+         is O(log log Delta) grid guesses of n ball queries, each \
+         O(log n + eps^(1-d)) nodes, so near-linear in n.";
+    };
+  ]
 
 type prepared = {
   g : Geo_instance.t;
@@ -339,12 +351,11 @@ type report = {
 }
 
 (* Accuracy budget split (the eps-overspend fix). Three consumers spend
-   accuracy: the inflated WSPD candidate lattice (a feasible guess
-   within (1+eps_w) above the discrete optimum; see [solve]), the BBD
-   ball queries (rounding invariant cost <= 2 (1+eps_b) radius), and the
-   MWU rounds (additive eps_m feasibility slack, absorbed by the 1/(2f)
-   rounding threshold). Passing
-   the caller's eps to all three un-split multiplies out to
+   accuracy: the radius grid (a feasible guess within (1+eps_c) above
+   the discrete optimum; see [solve]), the BBD ball queries (rounding
+   invariant cost <= 2 (1+eps_b) radius), and the MWU rounds (additive
+   eps_m feasibility slack, absorbed by the 1/(2f) rounding threshold).
+   Passing the caller's eps to all three un-split multiplies out to
    2 (1+eps)^2 — the calibration bug pinned by the PR-5 canary. Giving
    each consumer eps/5 yields
 
@@ -360,34 +371,19 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
   if not (eps > 0.0 && eps <= 2.5) then
     invalid_arg "Gcso_general.solve: eps must be in (0, 2.5]";
   let eps_c = split_eps eps in
-  let p = prepare g in
+  let p = Obs.with_span "gcso.prepare" (fun () -> prepare g) in
   let n = Array.length g.Geo_instance.points in
+  (* Every pairwise distance has a grid value within (1+eps_c) above it,
+     and the top value is >= the diameter, where the LP is feasible.
+     The bound needs only a step of eps_c; the final cost follows the
+     accepted radius, so a step of eps_c/8 buys cost back for three more
+     guesses. *)
   let gamma =
     match candidates with
     | Some c -> c
     | None ->
-        (* The WSPD places a candidate only within
-           [(1-e) delta, (1+e) delta] of each pairwise distance delta
-           (wspd.mli), so the candidate tracking the discrete optimum
-           can land *below* it — where the LP is infeasible — while the
-           next candidate up is unboundedly far (a fuzz-found gap of
-           1.39x opt). Generate at [eps_w] and inflate every candidate
-           by [1/(1-eps_w)]: the optimum's candidate then maps into
-           [opt, ((1+eps_w)/(1-eps_w)) opt], and
-           eps_w = eps_c/(2+eps_c) makes that upper factor exactly
-           [1+eps_c], preserving the (2+eps) budget below. *)
-        let eps_w = eps_c /. (2.0 +. eps_c) in
-        let raw =
-          Wspd.candidate_distances_packed ~eps:eps_w (Bbd.coords p.bbd)
-        in
-        Array.map (fun d -> d /. (1.0 -. eps_w)) raw
-  in
-  (* The WSPD only approximates the diameter; append a guess safely above
-     it so the binary search always has a feasible endpoint. *)
-  let gamma =
-    let len = Array.length gamma in
-    if len = 0 then [| 0.0 |]
-    else Array.append gamma [| 4.0 *. gamma.(len - 1) |]
+        Obs.with_span "gcso.grid" (fun () ->
+            Cso_geom.Radius_grid.make ~eps:(eps_c /. 8.0) (Bbd.coords p.bbd))
   in
   let rounds_per_guess =
     match rounds with
@@ -417,8 +413,9 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
     Obs.incr c_guesses;
     latest_weights := None;
     match
-      solve_at ~eps:eps_c ~rounds:rounds_per_guess ?warm_weights
-        ?on_weights:inner_on_weights p ~r:gamma.(mid)
+      Obs.with_span "gcso.guess" (fun () ->
+          solve_at ~eps:eps_c ~rounds:rounds_per_guess ?warm_weights
+            ?on_weights:inner_on_weights p ~r:gamma.(mid))
     with
     | Some sol ->
         Log.debug (fun m ->
@@ -439,8 +436,7 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
   | Some (solution, radius) ->
       { solution; radius; rounds_per_guess; guesses = !guesses }
   | None ->
-      (* The largest WSPD distance exceeds half the diameter, where the
-         oracle is always feasible; unreachable for non-empty inputs. *)
+      (* Only an explicit [candidates] array can leave no feasible guess. *)
       let sol = { Instance.centers = []; outliers = [] } in
       { solution = sol; radius = 0.0; rounds_per_guess; guesses = !guesses }
 
@@ -466,9 +462,9 @@ module Incremental = struct
        cached reports survive set updates unambiguously. *)
     mutable rect_slots : (int * Rect.t) list;
     mutable next_rect_id : int;
-    (* A rect insert/delete changes the WSPD candidate lattice and the
-       constraint-matrix shape in ways the insert-only point sketch
-       cannot see, so it must force the next query to re-solve. *)
+    (* A rect insert/delete reshapes the constraint matrix (which
+       points may be outliered together) in a way the insert-only point
+       sketch cannot see, so it must force the next query to re-solve. *)
     mutable rects_dirty : bool;
     k : int;
     z : int;

@@ -5,15 +5,15 @@
     method; the Oracle and Update procedures run on a BBD tree (ball
     canonical nodes, Section 3.1) and a range tree (rectangle canonical
     nodes) instead of touching the constraint matrix, and the binary
-    search runs over the WSPD candidate distances instead of all pairwise
-    distances.
+    search runs over a geometric radius grid ({!Cso_geom.Radius_grid})
+    instead of all pairwise distances.
 
     Guarantee (Theorem 3.2): at most [(2+eps)k] centers, [2fz] outlier
     rectangles, cost at most [(2+eps) rho*_{k,z}].
 
     Calibration note (found by [csokit fuzz], fixed here): the theorem's
     [(2+eps)] cost factor assumes the input accuracy is split across the
-    WSPD candidate lattice, the BBD ball queries and the MWU rounds.
+    radius grid, the BBD ball queries and the MWU rounds.
     [solve] performs that split internally — each consumer receives
     [eps/5], and since [cost <= 2 (1+eps/5) radius] (rounding invariant)
     while [radius] is within [(1+eps/5)] of the discrete optimum,
@@ -29,6 +29,10 @@
     MWU. Note the honest default round count scales as [1/(eps/5)^2] —
     25x the un-split count — so callers on a time budget should pass
     [rounds] explicitly. *)
+
+val budgets : Cso_obs.Obs.Budget.t list
+(** [cso.gcso.solve_work]: BBD nodes plus distance evaluations per cold
+    {!solve} at fixed rounds must stay near-linear in n. *)
 
 type prepared
 (** Instance with its BBD tree, range tree and cached canonical node
@@ -76,18 +80,19 @@ type report = {
 val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
   ?warm_weights:float array -> ?on_weights:(float array -> unit) ->
   Geo_instance.t -> report
-(** Binary search over the inflated WSPD candidate lattice: candidates
-    are generated at [eps_w = (eps/5)/(2+eps/5)] and each is multiplied
-    by [1/(1-eps_w)], so the candidate tracking the discrete optimum
-    from below (where the LP is infeasible) maps to a feasible guess
-    within [(1+eps/5)] of it — raw candidates can leave an unbounded
-    feasibility gap above the optimum. [candidates] substitutes an
-    explicit sorted guess lattice used as-is (e.g. all exact pairwise
+(** Binary search for the smallest feasible guess of the radius grid
+    {!Cso_geom.Radius_grid.make} at step [eps/40]: the grid holds a guess
+    in [[opt, (1+eps/5) opt]], and its top value is at least the
+    diameter, where the LP is always feasible. The step is finer than
+    the bound needs so the accepted radius sits close to the smallest
+    feasible one. [candidates] substitutes an
+    explicit ascending guess array used as-is (e.g. all exact pairwise
     distances, for the granularity ablation; the (2+eps) bound then
-    needs a lattice value in [[opt, (1+eps/5) opt]]). [eps] (default
-    [0.3], must lie in [(0, 2.5]]) is the end-to-end accuracy: it is
-    split [eps/5]-per-consumer internally (see the calibration note
-    above), including the default MWU round count.
+    needs a value in [[opt, (1+eps/5) opt]]). [eps] (default [0.3],
+    must lie in [(0, 2.5]]) is the end-to-end accuracy: it is split
+    [eps/5]-per-consumer internally (see the calibration note above),
+    including the default MWU round count. Spans [gcso.prepare],
+    [gcso.grid] and one [gcso.guess] per guess nest under [gcso.solve].
 
     [warm_weights] seeds every guess's MWU at the given per-point
     weights (length [n], indexed like the instance's points).
@@ -107,10 +112,9 @@ val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
     not comparable: its center blow-up puts it below any (k+z)-center
     bound), or the live count halves/doubles, which covers deletion
     drift the insert-only sketch cannot see. A rectangle update always
-    forces the next query to re-solve — it reshapes the WSPD candidate
-    lattice and the constraint matrix, which no point-side signal can
-    certify. A re-solve rebuilds the static instance from the live
-    points and live rectangles and warm-starts its MWU from the
+    forces the next query to re-solve — it reshapes the constraint
+    matrix, which no point-side signal can certify. A re-solve rebuilds
+    the static instance from the live points and live rectangles and warm-starts its MWU from the
     previous accepted-guess weights, mapped across the two populations
     by stable external constraint id (points and rects each draw from
     dense, never-reused id sequences); constraints unseen at the prior

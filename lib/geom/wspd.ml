@@ -174,10 +174,9 @@ let pairs_info ?(eps = 0.25) pts =
             :: !acc));
   !acc
 
-(* Production entry point: representative distances are read straight
-   off the packed store ([Points.l2_idx] is bit-identical to [Point.l2]
-   on the same coordinates, same counter events), so no boxed point is
-   touched anywhere on the candidate-lattice path. *)
+(* Representative distances are read straight off the packed store
+   ([Points.l2_idx] is bit-identical to [Point.l2], same counter
+   events). *)
 let candidate_distances_packed ?(eps = 0.25) coords =
   let s = separation ~eps () in
   let ps = ref [] in
@@ -194,7 +193,3 @@ let candidate_distances_packed ?(eps = 0.25) coords =
     (fun d -> match !out with x :: _ when x = d -> () | _ -> out := d :: !out)
     arr;
   Array.of_list (List.rev !out)
-
-(* Boxed wrapper, test/reference only: packs and delegates. *)
-let candidate_distances ?eps pts =
-  candidate_distances_packed ?eps (Points.of_array pts)

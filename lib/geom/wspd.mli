@@ -3,8 +3,9 @@
     Built over a fair-split tree. Its role in the paper is to produce a
     small set of {e candidate distances} [Gamma] such that every pairwise
     distance of [P] is approximated within a [(1 +- eps)] factor by some
-    candidate; the binary searches of Sections 3.2/3.3 then run over
-    [Gamma] instead of all n^2 distances. *)
+    candidate, for the binary searches of Sections 3.2/3.3. Those run
+    over {!Radius_grid} instead (DESIGN.md substitution 6); this module
+    stays as the tested §3.1 substrate and the ablation baseline. *)
 
 val pairs : ?eps:float -> Cso_metric.Point.t array -> (int * int) list
 (** [pairs ~eps pts] returns representative point-index pairs, one per
@@ -34,12 +35,6 @@ val pairs_info : ?eps:float -> Cso_metric.Point.t array -> pair_info list
 val candidate_distances_packed : ?eps:float -> Cso_metric.Points.t ->
   float array
 (** Sorted, deduplicated candidate distances (0. included): the array
-    [Gamma] of Algorithm 1, computed over a packed store — the
-    production entry point; no boxed point on the path. For every
-    pairwise distance [delta] of the input there is a candidate in
+    [Gamma] of Algorithm 1, over a packed store. For every pairwise
+    distance [delta] of the input there is a candidate in
     [[(1-eps) delta, (1+eps) delta]]. *)
-
-val candidate_distances : ?eps:float -> Cso_metric.Point.t array ->
-  float array
-(** Boxed test/reference wrapper: packs the array and delegates to
-    {!candidate_distances_packed} — bit-identical output. *)

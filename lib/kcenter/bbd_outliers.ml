@@ -1,6 +1,5 @@
 module Points = Cso_metric.Points
 module Bbd = Cso_geom.Bbd_tree
-module Wspd = Cso_geom.Wspd
 
 type result = {
   centers : int list;
@@ -38,13 +37,15 @@ let greedy_pass tree ~k ~r ~eps =
   (List.rev !centers, Bbd.root_active_count tree)
 
 let run_on_all ?(eps = 0.25) pts ~k ~budget =
+  if k <= 0 then invalid_arg "Bbd_outliers.run_on_all: k <= 0";
+  if budget < 0 then invalid_arg "Bbd_outliers.run_on_all: budget < 0";
   let n = Array.length pts in
   if n = 0 then { centers = []; radius = 0.0; sample_size = 0; sample_outliers = 0 }
   else begin
-    (* One pack feeds the tree and the candidate lattice. *)
+    (* One pack feeds the tree and the radius grid. *)
     let coords = Points.of_array pts in
     let tree = Bbd.build_packed coords in
-    let gamma = Wspd.candidate_distances_packed ~eps coords in
+    let gamma = Cso_geom.Radius_grid.make ~eps coords in
     let lo = ref 0 and hi = ref (Array.length gamma - 1) in
     let best = ref None in
     while !lo <= !hi do
@@ -60,11 +61,7 @@ let run_on_all ?(eps = 0.25) pts ~k ~budget =
     let centers, r, remaining =
       match !best with
       | Some v -> v
-      | None ->
-          (* Defensive: retry at the largest guess. *)
-          let r = gamma.(Array.length gamma - 1) in
-          let centers, remaining = greedy_pass tree ~k ~r ~eps in
-          (centers, r, remaining)
+      | None -> assert false (* the top guess is >= the diameter *)
     in
     {
       centers;

@@ -943,14 +943,11 @@ let gcso_mwu_tricriteria =
          outlier counts, cost <= 2(1+eps/5)*radius) hold at any round
          count; the end-to-end (2+eps)*opt factor does NOT — with too
          few rounds MWU can fail to certify feasibility at the critical
-         radius guess and the search settles one lattice step too high.
+         radius guess and the search settles one grid step too high.
          So the capped solve screens, and only a cost above the theorem
          bound escalates to the honest default, separating convergence
-         tails from real violations. (The escalation's first catch,
-         seed 5 case 2013, failed at honest rounds too: the un-inflated
-         WSPD lattice had no feasible guess within (1+eps/5) of the
-         optimum — fixed in [Gcso_general.solve] and pinned by the
-         lattice-gap canary in test/suite_refcheck.ml.) *)
+         tails from real violations (see the lattice-gap canary in
+         test/suite_refcheck.ml). *)
       let rep = Gcso_general.solve ~eps ~rounds:150 inst in
       let sol = rep.Gcso_general.solution in
       let* () = require (Geo_instance.is_valid inst sol) "MWU solution invalid" in
@@ -1045,6 +1042,53 @@ let gcso_batched_oracle =
           requiref (batched = reference)
             "batched oracle trace diverges from reference at r=%.17g" r)
         (Ok ()) guesses)
+
+(* The radius grid against brute force over the same [Points.l2_idx]
+   kernel: lo is the exact closest positive pair, the top guess reaches
+   the diameter, the length is logarithmic, and every positive distance
+   [delta] has a guess in [[delta, (1+eps) delta]]. *)
+let radius_grid_prop (pts, eps) =
+  let coords = Cso_metric.Points.of_array pts in
+  let grid = Cso_geom.Radius_grid.make ~eps coords in
+  let n = Array.length pts and len = Array.length grid in
+  let ds =
+    List.init n (fun i -> List.init (n - 1 - i) (fun j -> (i, i + 1 + j)))
+    |> List.concat_map (List.map (fun (i, j) -> Cso_metric.Points.l2_idx coords i j))
+    |> List.filter (fun d -> d > 0.0)
+  in
+  let* () =
+    require
+      (grid.(0) = 0.0
+      && List.for_all (fun i -> grid.(i) < grid.(i + 1)) (List.init (len - 1) Fun.id))
+      "grid is not 0 then strictly ascending"
+  in
+  match (ds, Cso_geom.Radius_grid.bracket coords) with
+  | [], None -> require (len = 1) "coincident points need the grid [0]"
+  | [], Some _ | _ :: _, None -> Error "bracket disagrees with brute force"
+  | ds, Some (lo, hi) ->
+      let min_d = List.fold_left Float.min infinity ds in
+      let steps = Float.ceil (Float.log (hi /. lo) /. Float.log (1.0 +. eps)) in
+      let covered d = Array.exists (fun g -> d <= g && g <= (1.0 +. eps) *. d) grid in
+      let* () = requiref (lo = min_d) "closest pair %.17g <> %.17g" lo min_d in
+      let* () =
+        require
+          (List.for_all (fun d -> d <= hi) ds && grid.(1) = lo && grid.(len - 1) >= hi)
+          "grid does not span [closest pair, diameter]"
+      in
+      let* () = requiref (float_of_int len <= steps +. 2.0) "length %d" len in
+      match List.find_opt (fun d -> not (covered d)) ds with
+      | None -> Ok ()
+      | Some d -> requiref false "no guess in [%.17g, (1+eps) %.17g]" d d
+
+let gcso_radius_grid =
+  Fuzz.make ~name:"gcso.radius_grid_covers_pairs"
+    ~gen:(fun rng ->
+      ( gen_points rng ~n_min:1 ~n_max:16 ~d_max:3,
+        [| 0.01; 0.06; 0.3; 1.0 |].(Random.State.int rng 4) ))
+    ~shrink:(fun (pts, eps) ->
+      List.map (fun p -> (p, eps)) (drop_each ~keep:1 pts @ round_pts pts))
+    ~show:(fun (pts, eps) -> Printf.sprintf "eps=%g %s" eps (pts_str pts))
+    ~prop:radius_grid_prop
 
 (* ------------------------------------------------------------------ *)
 (* dynamic.*                                                          *)
@@ -2286,6 +2330,7 @@ let all =
     cso_budget_monotone;
     gcso_mwu_tricriteria;
     gcso_batched_oracle;
+    gcso_radius_grid;
     dynamic_bbd;
     dynamic_rtree;
     dynamic_gcso_incremental;

@@ -13,7 +13,7 @@
     - [setcover.*] — greedy and exact vs brute force;
     - [cso.*] / [gcso.*] — exact solver, LP tri-criteria and MWU
       tri-criteria guarantees vs the exhaustive [rho*]; outlier-budget
-      monotonicity;
+      monotonicity; radius-grid coverage of every pairwise distance;
     - [relational.*] — Yannakakis count / enumerate / any / sample,
       semijoin reduction and hypertree decomposition vs the nested-loop
       join. *)
@@ -22,3 +22,8 @@ val all : Fuzz.t list
 (** Every registered check, in substrate order. *)
 
 val names : string list
+
+val radius_grid_prop :
+  Cso_metric.Point.t array * float -> (unit, string) result
+(** The [gcso.radius_grid_covers_pairs] property on one point set and
+    grid accuracy [eps], for fixture tests. *)

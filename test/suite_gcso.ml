@@ -260,7 +260,7 @@ let test_mwu_on_round_trace () =
   let g = w.Planted.geo in
   let prepared = Gcso_general.prepare g in
   let seen = ref 0 in
-  let gamma = Cso_geom.Wspd.candidate_distances g.Geo_instance.points in
+  let gamma = Cso_geom.Wspd.candidate_distances_packed g.Geo_instance.coords in
   let r = gamma.(Array.length gamma - 1) in
   ignore
     (Gcso_general.solve_at ~eps:0.3 ~rounds:40

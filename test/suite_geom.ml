@@ -257,7 +257,9 @@ let prop_wspd_candidates =
     (fun n ->
       let pts = random_points n 2 in
       let eps = 0.25 in
-      let cand = Wspd.candidate_distances ~eps pts in
+      let cand =
+        Wspd.candidate_distances_packed ~eps (Cso_metric.Points.of_array pts)
+      in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
@@ -271,6 +273,89 @@ let prop_wspd_candidates =
         done
       done;
       !ok)
+
+(* --- Radius grid --- *)
+
+(* Brute-force fixtures for the certified radius grid (the shared
+   property lives in lib/refcheck, where the fuzzer drives it too). *)
+let test_radius_grid_fixtures () =
+  let r = Random.State.make [| 77 |] in
+  let grid_int () = float_of_int (Random.State.int r 4) in
+  let fixtures =
+    [
+      ("random", random_points 40 2);
+      ("random 3d", random_points 30 3);
+      ("duplicate-heavy", Array.init 40 (fun _ -> [| grid_int (); grid_int () |]));
+      ("all identical", Array.make 12 [| 3.5; -1.0 |]);
+      ("single point", [| [| 1.0; 2.0 |] |]);
+      ("one column", Array.init 40 (fun _ -> [| 7.0; Random.State.float r 50.0 |]));
+      ("1d", Array.init 20 (fun _ -> [| Random.State.float r 9.0 |]));
+    ]
+  in
+  List.iter
+    (fun (name, pts) ->
+      List.iter
+        (fun eps ->
+          match Cso_refcheck.Checks.radius_grid_prop (pts, eps) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s, eps=%g: %s" name eps msg)
+        [ 0.06; 0.3 ])
+    fixtures;
+  Alcotest.(check (array (float 0.0))) "all identical -> [0]" [| 0.0 |]
+    (Radius_grid.make ~eps:0.1
+       (Cso_metric.Points.of_array (Array.make 5 [| 1.0; 1.0 |])))
+
+(* A step that rounds away ([1 + eps = 1]) or a grid past
+   [Radius_grid.max_length] is refused before anything is built. *)
+let test_radius_grid_refuses_tiny_eps () =
+  let coords =
+    Cso_metric.Points.of_array
+      [| [| 0.0; 0.0 |]; [| 1.0; 0.0 |]; [| 1000.0; 0.0 |] |]
+  in
+  let refused eps =
+    match Radius_grid.make ~eps coords with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "eps = 1e-17" true (refused 1e-17);
+  Alcotest.(check bool) "eps = 1e-12" true (refused 1e-12);
+  Alcotest.(check bool) "eps = 0" true (refused 0.0);
+  Alcotest.(check bool) "eps = nan" true (refused Float.nan);
+  let wide =
+    Cso_metric.Points.of_array [| [| 0.0 |]; [| 1e-150 |]; [| 1e150 |] |]
+  in
+  Alcotest.(check bool) "1e300 spread at eps = 1e-4" true
+    (match Radius_grid.make ~eps:1e-4 wide with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* The sweep's bad cases for a plain one-axis window: every point on one
+   column, and a square integer lattice (columns of equal x). Both must
+   stay linear in distance evaluations, not quadratic. *)
+let test_radius_grid_sweep_work () =
+  let n = 4096 in
+  let column =
+    Array.init n (fun i -> [| 1.0; float_of_int ((i * 37) mod n) |])
+  in
+  let lattice =
+    Array.init n (fun i -> [| float_of_int (i / 64); float_of_int (i mod 64) |])
+  in
+  List.iter
+    (fun (name, pts) ->
+      let coords = Cso_metric.Points.of_array pts in
+      let b, deltas =
+        Cso_obs.Obs.with_delta (fun () -> Radius_grid.bracket coords)
+      in
+      let evals =
+        Option.value ~default:0 (List.assoc_opt "metric.dist_evals" deltas)
+      in
+      Alcotest.(check bool) (name ^ ": closest pair 1") true
+        (Option.map fst b = Some 1.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d dist evals <= 4n" name evals)
+        true
+        (evals > 0 && evals <= 4 * n))
+    [ ("one column", column); ("lattice", lattice) ]
 
 (* --- Dense regions (Appendix D index-set structure) --- *)
 
@@ -398,6 +483,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_range_tree_marks;
     QCheck_alcotest.to_alcotest prop_range_tree_weight2_paths;
     QCheck_alcotest.to_alcotest prop_wspd_candidates;
+    Alcotest.test_case "radius grid vs brute force" `Quick
+      test_radius_grid_fixtures;
+    Alcotest.test_case "radius grid sweep stays linear" `Quick
+      test_radius_grid_sweep_work;
+    Alcotest.test_case "radius grid refuses tiny eps" `Quick
+      test_radius_grid_refuses_tiny_eps;
     QCheck_alcotest.to_alcotest prop_dense_regions_invariant;
     Alcotest.test_case "dense regions max balls" `Quick
       test_dense_regions_max_balls;

@@ -138,6 +138,15 @@ let test_run_on_all_budget_zero () =
   in
   Alcotest.(check (list int)) "all covered" [] uncovered
 
+let test_run_on_all_rejects_bad_args () =
+  let pts = clustered ~n:50 ~k:3 ~spread:1.0 ~separation:40.0 in
+  Alcotest.check_raises "k = 0"
+    (Invalid_argument "Bbd_outliers.run_on_all: k <= 0") (fun () ->
+      ignore (Bbd_outliers.run_on_all pts ~k:0 ~budget:5));
+  Alcotest.check_raises "negative budget"
+    (Invalid_argument "Bbd_outliers.run_on_all: budget < 0") (fun () ->
+      ignore (Bbd_outliers.run_on_all pts ~k:3 ~budget:(-1)))
+
 let prop_gonzalez_fast_identical =
   QCheck.Test.make
     ~name:"accelerated gonzalez matches the plain version exactly" ~count:60
@@ -302,6 +311,8 @@ let suite =
     Alcotest.test_case "charikar z=0" `Quick test_charikar_no_outliers_needed;
     Alcotest.test_case "bbd outliers planted" `Quick test_bbd_outliers_planted;
     Alcotest.test_case "run_on_all budget 0" `Quick test_run_on_all_budget_zero;
+    Alcotest.test_case "run_on_all rejects k = 0 and budget < 0" `Quick
+      test_run_on_all_rejects_bad_args;
     QCheck_alcotest.to_alcotest prop_gonzalez_fast_identical;
     QCheck_alcotest.to_alcotest prop_gonzalez_radius_is_cost;
   ]

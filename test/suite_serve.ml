@@ -1171,6 +1171,33 @@ let test_obs_off_metrics_flight () =
               Alcotest.(check string) "obs-off flight ring is empty" "" f
           | _ -> Alcotest.fail "unexpected replies"))
 
+(* An eps whose radius grid would be unbounded is refused on solve with
+   a typed error, not built until the daemon runs out of memory. *)
+let test_tiny_eps_refused () =
+  let reg = Registry.create () in
+  let rect = Rect.of_intervals [ (-1.0, 10.0); (-1.0, 10.0) ] in
+  let load =
+    P.Load
+      {
+        name;
+        points = [| [| 0.0; 0.0 |]; [| 1.0; 0.0 |]; [| 5.0; 5.0 |] |];
+        rects = [| rect |];
+        k = 1;
+        z = 0;
+        eps = 1e-16;
+        rounds = Some 1;
+        drift = 2.0;
+      }
+  in
+  (match Registry.handle reg load with
+  | P.Error _ -> Alcotest.fail "load refused"
+  | _ -> ());
+  match Registry.handle reg (P.Solve name) with
+  | P.Error (P.Bad_request, m) ->
+      Alcotest.(check bool) ("refused by the grid: " ^ m) true
+        (String.starts_with ~prefix:"Radius_grid.make" m)
+  | _ -> Alcotest.fail "solve with eps = 1e-16 was not refused"
+
 let suite =
   [
     Alcotest.test_case "byte identity: binary, drift script, all pools" `Slow
@@ -1210,4 +1237,6 @@ let suite =
       test_metrics_flight_identity;
     Alcotest.test_case "CSO_OBS=0: metrics valid, flight empty" `Quick
       test_obs_off_metrics_flight;
+    Alcotest.test_case "solve at eps = 1e-16 is a typed error" `Quick
+      test_tiny_eps_refused;
   ]
