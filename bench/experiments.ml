@@ -242,8 +242,11 @@ let table1_gcso_general () =
       let w = Planted.gcso_overlapping (rng seed) ~n:120 ~k:3 ~z:2 in
       let g = w.Planted.geo in
       let f = Geo_instance.frequency g in
+      (* The guarantee row runs the theorem's round count
+         ([Mwu.default_rounds] at eps/5): the (2+eps)k center bound
+         needs a converged MWU. *)
       let (report : Gcso_general.report), time =
-        Util.time (fun () -> Gcso_general.solve ~eps ~rounds:mwu_rounds g)
+        Util.time (fun () -> Gcso_general.solve ~eps g)
       in
       total_t := !total_t +. time;
       let sol = report.Gcso_general.solution in
@@ -260,6 +263,15 @@ let table1_gcso_general () =
         && cost < w.Planted.g_contaminated_lower
       in
       if not ok then all_ok := false;
+      (* Diagnostic only, not part of [ok]: the same solve capped at
+         [mwu_rounds] per guess, where the unconverged MWU blows the
+         center count far past (2+eps)k. *)
+      let capped = Gcso_general.solve ~eps ~rounds:mwu_rounds g in
+      let capped_mu1 =
+        float_of_int
+          (List.length capped.Gcso_general.solution.Instance.centers)
+        /. 3.0
+      in
       let w1, w2, w3 = !worst in
       worst := (max w1 mu1, max w2 mu2, max w3 mu3);
       rows :=
@@ -272,14 +284,19 @@ let table1_gcso_general () =
           string_of_int report.Gcso_general.rounds_per_guess;
           string_of_int report.Gcso_general.guesses;
           Util.fmt_time time;
+          f2 capped_mu1;
         ]
         :: !rows)
     seeds;
   Util.print_table
     ~title:
-      "T1.R4  GCSO f>1, MWU + BBD/range trees (Thm 3.2): guarantee (2+eps, \
-       2f, 2+eps); mu3 vs planted bound"
-    [ "seed"; "f"; "mu1"; "mu2"; "mu3"; "rounds"; "guesses"; "time" ]
+      (Printf.sprintf
+         "T1.R4  GCSO f>1, MWU + BBD/range trees (Thm 3.2): guarantee (2+eps, \
+          2f, 2+eps); mu3 vs planted bound; mu1@%d = mu1 with rounds capped \
+          at %d per guess (diagnostic, not gated)"
+         mwu_rounds mwu_rounds)
+    [ "seed"; "f"; "mu1"; "mu2"; "mu3"; "rounds"; "guesses"; "time";
+      Printf.sprintf "mu1@%d" mwu_rounds ]
     (List.rev !rows);
   let w1, w2, w3 = !worst in
   Util.record_t1 ~problem:"GCSO, f>1" ~guarantee:"(2+e, 2f, 2+e)"

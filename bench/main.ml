@@ -25,12 +25,27 @@ let () =
   Printf.printf
     "Each experiment regenerates one artifact of the paper; see DESIGN.md \
      section 3 and EXPERIMENTS.md.\n";
-  List.iter
-    (fun (name, fn) ->
-      if matches filters name then begin
-        let (), t = Util.time fn in
-        Printf.printf "[%s finished in %s]\n" name (Util.fmt_time t)
-      end)
-    Experiments.all;
+  (* A failing gate raises; every selected experiment still runs, and
+     the failures are all reported (and the exit code set) at the end. *)
+  let failures =
+    List.filter_map
+      (fun (name, fn) ->
+        if not (matches filters name) then None
+        else
+          match Util.time fn with
+          | (), t ->
+              Printf.printf "[%s finished in %s]\n%!" name (Util.fmt_time t);
+              None
+          | exception e ->
+              let msg = Printexc.to_string e in
+              Printf.printf "[%s FAILED: %s]\n%!" name msg;
+              Some (name, msg))
+      Experiments.all
+  in
   if with_micro || filters = [] then Micro.run ();
-  if Util.(!t1_rows) <> [] then Util.print_t1_summary ()
+  if Util.(!t1_rows) <> [] then Util.print_t1_summary ();
+  if failures <> [] then begin
+    Printf.printf "%d experiment(s) failed:\n" (List.length failures);
+    List.iter (fun (name, msg) -> Printf.printf "  %s: %s\n" name msg) failures;
+    exit 1
+  end

@@ -44,7 +44,6 @@ type prepared = {
      depends on it. *)
   rect_csr : Csr.t; (* [rect_nodes], flattened *)
   bbd_paths : Csr.t; (* leaf-to-root BBD node path per point *)
-  rt_paths : Csr.t; (* range-tree U_i node set per point *)
 }
 
 let prepare (g : Geo_instance.t) =
@@ -63,23 +62,32 @@ let prepare (g : Geo_instance.t) =
              (Bbd.fold_path_to_root bbd (Bbd.leaf_of_point bbd l) ~init:[]
                 ~f:(fun acc u -> u :: acc))))
   in
-  let rt_paths =
-    Csr.of_lists
-      (Array.init n (fun i ->
-           List.rev
-             (Range_tree.fold_point_paths rtree i ~init:[] ~f:(fun acc u ->
-                  u :: acc))))
-  in
-  { g; bbd; rtree; rect_nodes; rect_csr = Csr.of_lists rect_nodes;
-    bbd_paths; rt_paths }
+  { g; bbd; rtree; rect_nodes; rect_csr = Csr.of_lists rect_nodes; bbd_paths }
 
-(* Indices of the [k] largest weights. *)
+(* Indices of the [k] largest weights, best first: weight descending by
+   [Float.compare], then index ascending. One pass over a sorted buffer
+   of the best [k] so far: O(n k), near O(n) when few weights beat it. *)
 let top_k weights k =
-  let idx = Array.init (Array.length weights) Fun.id in
-  (* Monomorphic float sort; same descending order as the polymorphic
-     comparator (ties keep falling through to the sort's own order). *)
-  Array.sort (fun a b -> Float.compare weights.(b) weights.(a)) idx;
-  Array.to_list (Array.sub idx 0 (min k (Array.length idx)))
+  let n = Array.length weights in
+  let k = min k n in
+  if k <= 0 then []
+  else begin
+    let best = Array.make k 0 and len = ref 0 in
+    for i = 0 to n - 1 do
+      let x = weights.(i) in
+      if !len < k || Float.compare x weights.(best.(k - 1)) > 0 then begin
+        (* Only a strictly larger weight passes an earlier index. *)
+        let pos = ref (min !len (k - 1)) in
+        while !pos > 0 && Float.compare x weights.(best.(!pos - 1)) > 0 do
+          best.(!pos) <- best.(!pos - 1);
+          decr pos
+        done;
+        best.(!pos) <- i;
+        if !len < k then incr len
+      end
+    done;
+    List.init k (fun i -> best.(i))
+  end
 
 type oracle_sol = {
   chosen_pts : int list;
@@ -145,7 +153,8 @@ let round_solution p ~eps ~r ~removal_mult sols =
 (* Batched oracle: each MWU round is one sequential CSR scatter (the
    float accumulation whose order is the bit-identity contract) plus
    one pooled gather pass per side, sweeping flat int arrays into
-   buffers reused across every round of the guess. Values, counters
+   arrays the guess owns and reuses across every round — the round
+   allocates only its O(k + z) chosen-index lists. Values, counters
    and histogram events are bit-identical to [solve_at_reference]'s
    per-constraint closures — pinned by the differential tests in
    [test/suite_gcso.ml] and the [gcso.batched_oracle] fuzz check. *)
@@ -169,42 +178,53 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
     let canon_csr = Csr.of_lists canon in
     let co = canon_csr.Csr.offsets and ci = canon_csr.Csr.ids in
     let po = p.bbd_paths.Csr.offsets and pi = p.bbd_paths.Csr.ids in
-    let uo = p.rt_paths.Csr.offsets and ui = p.rt_paths.Csr.ids in
     let ro = p.rect_csr.Csr.offsets and ri = p.rect_csr.Csr.ids in
+    let membership = g.Geo_instance.membership in
     let width = float_of_int (k + z) in
     (* Per-guess buffers, overwritten in full every round. [viol] is
-       returned to [Mwu.run], which only reads it within the round. *)
+       returned to [Mwu.run], which only reads it within the round.
+       [node_w] (Oracle) and [node_c] (Update) are the BBD node
+       accumulators, indexed by node id. *)
+    let nn = Bbd.n_nodes p.bbd in
+    let node_w = Array.make nn 0.0 in
+    let node_c = Array.make nn 0 in
+    let rect_chosen = Array.make m false in
     let w = Array.make n 0.0 in
     let tau = Array.make m 0.0 in
     let viol = Array.make n 0.0 in
+    let rec count_chosen c = function
+      | [] -> c
+      | j :: rest -> count_chosen (if rect_chosen.(j) then c + 1 else c) rest
+    in
     let pool = Pool.get_default () in
     let oracle sigma =
       Obs.incr c_oracle;
       (* w_l = sum of sigma over the points whose ball query captured l.
          Sequential scatter in constraint order: the same float
          accumulation order as the per-constraint list walk. *)
-      Bbd.reset_weights p.bbd;
+      Array.fill node_w 0 nn 0.0;
       for i = 0 to n - 1 do
         let s = sigma.(i) in
         for e = co.(i) to co.(i + 1) - 1 do
-          Bbd.add_weight p.bbd (Array.unsafe_get ci e) s
+          let u = Array.unsafe_get ci e in node_w.(u) <- node_w.(u) +. s
         done
       done;
-      (* The tree weights are fixed once the writes above finish, so the
+      (* The node weights are fixed once the writes above finish, so the
          per-point root-path gathers are independent read-only work:
          one pooled flat pass. *)
       Pool.parallel_for pool ~chunk:64 ~start:0 ~finish:(n - 1) (fun l ->
           let acc = ref 0.0 in
           for e = po.(l) to po.(l + 1) - 1 do
-            acc := !acc +. Bbd.get_weight p.bbd (Array.unsafe_get pi e)
+            acc := !acc +. Array.unsafe_get node_w (Array.unsafe_get pi e)
           done;
           w.(l) <- !acc);
       (* tau_j = sigma-weight of the points inside rectangle j. *)
       Range_tree.set_point_weights p.rtree sigma;
+      let rw = Range_tree.node_weights p.rtree in
       for j = 0 to m - 1 do
         let acc = ref 0.0 in
         for e = ro.(j) to ro.(j + 1) - 1 do
-          acc := !acc +. Range_tree.node_weight p.rtree (Array.unsafe_get ri e)
+          acc := !acc +. Array.unsafe_get rw (Array.unsafe_get ri e)
         done;
         tau.(j) <- !acc
       done;
@@ -219,36 +239,27 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
     in
     let violation sol =
       Obs.incr c_violation;
-      (* R1_i: chosen points captured by point i's ball query. *)
-      Bbd.reset_weights p.bbd;
+      (* R1_i: chosen points captured by point i's ball query; R2_i:
+         chosen rectangles containing point i. Sums of ones, so integer
+         counts give the reference's float sums exactly. *)
+      Array.fill node_c 0 nn 0;
       List.iter
         (fun l ->
           for e = po.(l) to po.(l + 1) - 1 do
-            Bbd.add_weight2 p.bbd (Array.unsafe_get pi e) 1.0
+            let u = Array.unsafe_get pi e in node_c.(u) <- node_c.(u) + 1
           done)
         sol.chosen_pts;
-      (* R2_i: chosen rectangles containing point i. *)
-      Range_tree.reset_weight2 p.rtree;
-      List.iter
-        (fun j ->
-          for e = ro.(j) to ro.(j + 1) - 1 do
-            Range_tree.add_weight2 p.rtree (Array.unsafe_get ri e) 1.0
-          done)
-        sol.chosen_rects;
+      List.iter (fun j -> rect_chosen.(j) <- true) sol.chosen_rects;
       (* One pooled pass over the constraint set: per-constraint slots,
-         read-only over the freshly written tree weights — the MWU hot
-         loop. *)
+         read-only over the counts written above — the MWU hot loop. *)
       Pool.parallel_for pool ~chunk:64 ~start:0 ~finish:(n - 1) (fun i ->
-          let r1 = ref 0.0 in
+          let r1 = ref 0 in
           for e = co.(i) to co.(i + 1) - 1 do
-            r1 := !r1 +. Bbd.get_weight2 p.bbd (Array.unsafe_get ci e)
+            r1 := !r1 + Array.unsafe_get node_c (Array.unsafe_get ci e)
           done;
-          let r2 = ref 0.0 in
-          for e = uo.(i) to uo.(i + 1) - 1 do
-            r2 :=
-              !r2 +. Range_tree.node_weight2 p.rtree (Array.unsafe_get ui e)
-          done;
-          viol.(i) <- !r1 +. !r2 -. 1.0);
+          viol.(i) <-
+            float_of_int (count_chosen !r1 membership.(i)) -. 1.0);
+      List.iter (fun j -> rect_chosen.(j) <- false) sol.chosen_rects;
       viol
     in
     match
@@ -276,18 +287,19 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
       (fun nodes -> Obs.Hist.observe h_ball_nodes (List.length nodes))
       canon;
     let width = float_of_int (k + z) in
+    let nn = Bbd.n_nodes p.bbd in
     let oracle sigma =
       Obs.incr c_oracle;
-      Bbd.reset_weights p.bbd;
+      let node_w = Array.make nn 0.0 in
       Array.iteri
         (fun i nodes ->
-          List.iter (fun u -> Bbd.add_weight p.bbd u sigma.(i)) nodes)
+          List.iter (fun u -> node_w.(u) <- node_w.(u) +. sigma.(i)) nodes)
         canon;
       let pool = Pool.get_default () in
       let w =
         Pool.tabulate pool ~chunk:64 n (fun l ->
             Bbd.fold_path_to_root p.bbd (Bbd.leaf_of_point p.bbd l) ~init:0.0
-              ~f:(fun acc u -> acc +. Bbd.get_weight p.bbd u))
+              ~f:(fun acc u -> acc +. node_w.(u)))
       in
       Range_tree.set_point_weights p.rtree sigma;
       let tau =
@@ -309,11 +321,11 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
     in
     let violation sol =
       Obs.incr c_violation;
-      Bbd.reset_weights p.bbd;
+      let node_w2 = Array.make nn 0.0 in
       List.iter
         (fun l ->
           Bbd.fold_path_to_root p.bbd (Bbd.leaf_of_point p.bbd l) ~init:()
-            ~f:(fun () u -> Bbd.add_weight2 p.bbd u 1.0))
+            ~f:(fun () u -> node_w2.(u) <- node_w2.(u) +. 1.0))
         sol.chosen_pts;
       Range_tree.reset_weight2 p.rtree;
       List.iter
@@ -325,9 +337,7 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
       let pool = Pool.get_default () in
       Pool.tabulate pool ~chunk:64 n (fun i ->
           let r1 =
-            List.fold_left
-              (fun acc u -> acc +. Bbd.get_weight2 p.bbd u)
-              0.0 canon.(i)
+            List.fold_left (fun acc u -> acc +. node_w2.(u)) 0.0 canon.(i)
           in
           let r2 =
             Range_tree.fold_point_paths p.rtree i ~init:0.0 ~f:(fun acc u ->

@@ -54,10 +54,26 @@ val solve_at : ?eps:float -> ?rounds:int -> ?cover_mult:float ->
     observe them per round.
 
     The MWU oracle is {e batched}: the canonical-node sets are flattened
-    to CSR once per guess and every round runs one sequential scatter
-    plus one pooled flat gather pass per side, into buffers reused
-    across rounds. Bit-identical — weights, round counts, solutions,
-    and every counter total — to {!solve_at_reference}. *)
+    to CSR once per guess, and the guess owns flat arrays for the BBD
+    node accumulators, the point and rectangle weights and the
+    violations, reused by every round. A round is: Oracle — one
+    sequential scatter of the constraint weights onto the ball
+    canonical nodes, one pooled gather along each point's root path,
+    the rectangle weights from the range tree's node weights, and
+    {!top_k} on both sides; Update — integer counts of the chosen
+    points on each constraint's canonical nodes plus the chosen
+    rectangles holding the point, in one pooled pass. Apart from the
+    chosen-index lists it allocates nothing per entry: O(k + z) words
+    per round, whatever n. Bit-identical — weights, round counts,
+    solutions, and every counter total — to {!solve_at_reference}. *)
+
+val top_k : float array -> int -> int list
+(** [top_k w k] is the indices of the [min k (Array.length w)] largest
+    entries of [w], best first, under a total order: weight descending
+    by [Float.compare] (nan ranks below every number, [-0.] ties [0.]),
+    then index ascending — so equal weights go to the lower index. The
+    MWU Oracle's choice of [k] points and [z] rectangles. One pass,
+    O(n k). *)
 
 val solve_at_reference : ?eps:float -> ?rounds:int -> ?cover_mult:float ->
   ?removal_mult:float -> ?warm_weights:float array ->

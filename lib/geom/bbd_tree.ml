@@ -35,61 +35,72 @@ let budgets =
   ]
 
 type node = {
-  box : Rect.t;
   parent : int;
   left : int; (* -1 for leaves *)
   right : int;
   point : int; (* point index for leaves, -1 otherwise *)
   count : int;
-  mutable weight : float;
-  mutable weight2 : float;
   mutable active : bool;
   mutable active_count : int;
   mutable repr : int; (* an active point in the subtree, -1 if none *)
 }
 
+(* Node [id]'s box is [lo]/[hi].(id * dim ..): flat arrays the query
+   loop reads unboxed, not a [Rect.t] per node (DESIGN.md §3l). *)
 type t = {
   coords : Points.t;
-  mutable nodes : node array;
+  nodes : node array;
   mutable n_nodes : int;
   root : int;
   leaf_of : int array;
+  dim : int;
+  lo : float array;
+  hi : float array;
 }
 
 let dummy_node =
   {
-    box = Rect.unbounded 1;
     parent = -1;
     left = -1;
     right = -1;
     point = -1;
     count = 0;
-    weight = 0.0;
-    weight2 = 0.0;
     active = true;
     active_count = 0;
     repr = -1;
   }
 
+(* n points make 2n - 1 nodes, inside [build_with]'s 2n slots. *)
 let push t node =
-  if t.n_nodes = Array.length t.nodes then begin
-    let bigger = Array.make (max 16 (2 * t.n_nodes)) dummy_node in
-    Array.blit t.nodes 0 bigger 0 t.n_nodes;
-    t.nodes <- bigger
-  end;
-  t.nodes.(t.n_nodes) <- node;
-  t.n_nodes <- t.n_nodes + 1;
-  t.n_nodes - 1
+  let id = t.n_nodes in
+  t.nodes.(id) <- node;
+  t.n_nodes <- id + 1;
+  id
+
+(* [Rect.bounding_box_idx] of [idx.(lo..hi-1)], into node [id]'s box. *)
+let set_box t idx id ~lo ~hi =
+  let d = t.dim and data = t.coords.Points.data in
+  let base = id * d in
+  Array.blit data (idx.(lo) * d) t.lo base d;
+  Array.blit data (idx.(lo) * d) t.hi base d;
+  for i = lo to hi - 1 do
+    let p = idx.(i) * d in
+    for j = 0 to d - 1 do
+      let x = data.(p + j) in
+      if x < t.lo.(base + j) then t.lo.(base + j) <- x;
+      if x > t.hi.(base + j) then t.hi.(base + j) <- x
+    done
+  done
 
 (* Widest dimension of the bounding box of [idx.(lo..hi-1)], read straight
    off the packed coordinate store. *)
 let widest_dim coords idx lo hi =
-  let d = Points.dim coords in
+  let d = Points.dim coords and data = coords.Points.data in
   let best = ref 0 and best_w = ref neg_infinity in
   for j = 0 to d - 1 do
     let mn = ref infinity and mx = ref neg_infinity in
     for i = lo to hi - 1 do
-      let x = Points.coord coords idx.(i) j in
+      let x = data.((idx.(i) * d) + j) in
       if x < !mn then mn := x;
       if x > !mx then mx := x
     done;
@@ -103,24 +114,28 @@ let widest_dim coords idx lo hi =
 
 let build_with coords =
   let n = Points.length coords in
+  let dim = Points.dim coords in
+  let cap = max 1 (2 * n) in
   let t =
-    { coords; nodes = Array.make (max 1 (2 * n)) dummy_node; n_nodes = 0;
-      root = 0; leaf_of = Array.make n (-1) }
+    { coords; nodes = Array.make cap dummy_node; n_nodes = 0; root = 0;
+      leaf_of = Array.make n (-1); dim; lo = Array.make (cap * dim) 0.0;
+      hi = Array.make (cap * dim) 0.0 }
   in
   if n = 0 then t
   else begin
-    let idx = Array.init n (fun i -> i) in
+    let idx = Array.init n (fun i -> i) and data = coords.Points.data in
     (* Builds the subtree over idx.(lo..hi-1); returns its node id. *)
     let rec go parent lo hi =
       let count = hi - lo in
-      let box = Rect.bounding_box_idx coords idx ~lo ~hi in
+      (* The box goes to the slot [push] fills next, before the sort
+         reorders the range (its seed point breaks 0.0/-0.0 ties). *)
+      set_box t idx t.n_nodes ~lo ~hi;
       if count = 1 then begin
         let p = idx.(lo) in
         let id =
           push t
-            { box; parent; left = -1; right = -1; point = p; count = 1;
-              weight = 0.0; weight2 = 0.0; active = true; active_count = 1;
-              repr = p }
+            { parent; left = -1; right = -1; point = p; count = 1;
+              active = true; active_count = 1; repr = p }
         in
         t.leaf_of.(p) <- id;
         id
@@ -129,16 +144,14 @@ let build_with coords =
         let j = widest_dim coords idx lo hi in
         let sub = Array.sub idx lo count in
         Array.sort
-          (fun a b ->
-            Float.compare (Points.coord coords a j) (Points.coord coords b j))
+          (fun a b -> Float.compare data.((a * dim) + j) data.((b * dim) + j))
           sub;
         Array.blit sub 0 idx lo count;
         let mid = lo + (count / 2) in
         let id =
           push t
-            { box; parent; left = -1; right = -1; point = -1; count;
-              weight = 0.0; weight2 = 0.0; active = true;
-              active_count = count; repr = idx.(lo) }
+            { parent; left = -1; right = -1; point = -1; count;
+              active = true; active_count = count; repr = idx.(lo) }
         in
         let l = go id lo mid in
         let r = go id mid hi in
@@ -155,9 +168,6 @@ let build_packed coords = build_with coords
 
 let size t = t.coords.Points.n
 
-(* Boxed view for tests and reference paths only: fresh copies, rebuilt
-   on every call — the tree no longer retains a boxed array. *)
-let points t = Points.to_array t.coords
 let coords t = t.coords
 let node_count t id = t.nodes.(id).count
 let node_active_count t id =
@@ -165,7 +175,6 @@ let node_active_count t id =
 let leaf_of_point t i = t.leaf_of.(i)
 let n_nodes t = t.n_nodes
 let parent t id = t.nodes.(id).parent
-let node_point t id = t.nodes.(id).point
 
 (* Per-domain traversal scratch: an explicit DFS stack and a canonical-id
    buffer, reused across queries so the hot sweep allocates only the
@@ -201,6 +210,7 @@ let query_into ~respect_active t ~center ~radius ~eps s =
   let visited = ref 0 in
   let r_out = (1.0 +. eps) *. radius in
   let stk = s.stk and cbuf = s.cbuf in
+  let d = t.dim and blo = t.lo and bhi = t.hi in
   let sp = ref 1 and cnt = ref 0 in
   stk.(0) <- t.root;
   while !sp > 0 do
@@ -211,10 +221,28 @@ let query_into ~respect_active t ~center ~radius ~eps s =
     let nd = Array.unsafe_get t.nodes id in
     if respect_active && not nd.active then ()
     else begin
-      let dmin = Rect.min_dist_to_point nd.box center in
-      if dmin > radius then ()
+      (* [Rect.min_dist_to_point] and [Rect.max_dist_to_point] on the
+         flat box, same operations in the same order: bit-identical. *)
+      let base = id * d and acc = ref 0.0 in
+      for j = 0 to d - 1 do
+        let x = center.(j) and l = blo.(base + j) and h = bhi.(base + j) in
+        let dj = if x < l then l -. x else if x > h then x -. h else 0.0 in
+        acc := !acc +. (dj *. dj)
+      done;
+      if sqrt !acc > radius then ()
       else
-        let dmax = Rect.max_dist_to_point nd.box center in
+        let acc = ref 0.0 and unbounded = ref false in
+        for j = 0 to d - 1 do
+          let x = center.(j) in
+          let a = abs_float (x -. blo.(base + j))
+          and b = abs_float (bhi.(base + j) -. x) in
+          let dj = if a >= b then a else b in
+          if dj = infinity then unbounded := true;
+          acc := !acc +. (dj *. dj)
+        done;
+        let dmax =
+          if !unbounded || !acc = infinity then infinity else sqrt !acc
+        in
         if dmax <= r_out then begin
           Obs.incr c_canonical;
           Array.unsafe_set cbuf !cnt id;
@@ -238,15 +266,9 @@ let query_into ~respect_active t ~center ~radius ~eps s =
   let rec mk acc k = if k >= !cnt then acc else mk (cbuf.(k) :: acc) (k + 1) in
   mk [] 0
 
-let ball_query_gen ~respect_active t ~center ~radius ~eps =
-  if t.coords.Points.n = 0 then []
-  else query_into ~respect_active t ~center ~radius ~eps (scratch_for t)
-
 let ball_query t ~center ~radius ~eps =
-  ball_query_gen ~respect_active:false t ~center ~radius ~eps
-
-let ball_query_active t ~center ~radius ~eps =
-  ball_query_gen ~respect_active:true t ~center ~radius ~eps
+  if t.coords.Points.n = 0 then []
+  else query_into ~respect_active:false t ~center ~radius ~eps (scratch_for t)
 
 (* Index-centered queries: the center is one of the tree's own points,
    staged from the packed store into the per-domain scratch row — no
@@ -317,17 +339,6 @@ let fold_path_to_root t id ~init ~f =
   let rec go acc id = if id < 0 then acc else go (f acc id) t.nodes.(id).parent in
   go init id
 
-let reset_weights t =
-  for i = 0 to t.n_nodes - 1 do
-    t.nodes.(i).weight <- 0.0;
-    t.nodes.(i).weight2 <- 0.0
-  done
-
-let add_weight t id w = t.nodes.(id).weight <- t.nodes.(id).weight +. w
-let get_weight t id = t.nodes.(id).weight
-let add_weight2 t id w = t.nodes.(id).weight2 <- t.nodes.(id).weight2 +. w
-let get_weight2 t id = t.nodes.(id).weight2
-
 let reset_active t =
   for i = 0 to t.n_nodes - 1 do
     let nd = t.nodes.(i) in
@@ -366,8 +377,6 @@ let deactivate t id =
   in
   up nd.parent
 
-let is_active t id = t.nodes.(id).active
-
 let root_active_count t =
   if t.n_nodes = 0 then 0 else eff t t.root
 
@@ -378,12 +387,6 @@ let root_repr t =
 let point_is_active t i =
   fold_path_to_root t (leaf_of_point t i) ~init:true ~f:(fun acc id ->
       acc && t.nodes.(id).active)
-
-let active_count_in_ball t ~center ~radius ~eps =
-  List.fold_left
-    (fun acc id -> acc + node_active_count t id)
-    0
-    (ball_query_active t ~center ~radius ~eps)
 
 let active_count_in_ball_idx t ~center ~radius ~eps =
   List.fold_left

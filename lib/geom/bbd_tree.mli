@@ -9,10 +9,11 @@
     nodes are pairwise disjoint and their point sets [U] satisfy
     [B(c,r) cap P subseteq U subseteq B(c,(1+eps)r) cap P].
 
-    Nodes carry two mutable weight accumulators ([weight] used by the MWU
-    Oracle, [weight2] by Update) and an activity flag with active-point
-    counts and representatives (used by the rounding procedure of
-    Appendix C and the RCRO algorithm of Appendix E). *)
+    Nodes carry an activity flag with active-point counts and
+    representatives (used by the rounding procedure of Appendix C and
+    the RCRO algorithm of Appendix E). They carry no MWU weights: the
+    GCSO solver keeps its Oracle and Update accumulators in its own
+    arrays indexed by node id ([0 .. n_nodes - 1]). *)
 
 type t
 
@@ -28,10 +29,6 @@ val build_packed : Cso_metric.Points.t -> t
 
 val size : t -> int
 (** Number of points. *)
-
-val points : t -> Cso_metric.Point.t array
-(** Fresh boxed copies of the points, rebuilt on every call — a
-    test/reference view; production code reads {!coords} by index. *)
 
 val coords : t -> Cso_metric.Points.t
 (** The packed coordinate store the tree was built over. *)
@@ -50,11 +47,6 @@ val balls_all : t -> radius:float -> eps:float -> int list array
     histogram event are identical to the per-point loop (and across pool
     sizes). *)
 
-val ball_query_active : t -> center:Cso_metric.Point.t -> radius:float ->
-  eps:float -> int list
-(** Like [ball_query] but never descends into deactivated nodes; canonical
-    nodes cover only active points. *)
-
 val ball_query_idx : t -> center:int -> radius:float -> eps:float -> int list
 (** [ball_query] centered at the tree's own point [center] (a point
     index), staged from the packed store — no boxed point on the path.
@@ -63,7 +55,8 @@ val ball_query_idx : t -> center:int -> radius:float -> eps:float -> int list
 
 val ball_query_active_idx :
   t -> center:int -> radius:float -> eps:float -> int list
-(** Index-centered {!ball_query_active}. *)
+(** Like {!ball_query_idx} but never descends into deactivated nodes;
+    canonical nodes cover only active points. *)
 
 val points_of_node : t -> int -> int list
 (** All point indices stored under the node. *)
@@ -85,22 +78,9 @@ val n_nodes : t -> int
 val parent : t -> int -> int
 (** Parent node id, [-1] at the root. *)
 
-val node_point : t -> int -> int
-(** The point stored at a leaf node, [-1] for internal nodes. *)
-
 val fold_path_to_root : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_path_to_root t node ~init ~f] folds [f] over the node ids on the
     path from [node] (inclusive) to the root (inclusive). *)
-
-(** {2 Node weights} *)
-
-val reset_weights : t -> unit
-(** Zeroes both weight accumulators on every node. *)
-
-val add_weight : t -> int -> float -> unit
-val get_weight : t -> int -> float
-val add_weight2 : t -> int -> float -> unit
-val get_weight2 : t -> int -> float
 
 (** {2 Activity (deletion) support} *)
 
@@ -110,8 +90,6 @@ val reset_active : t -> unit
 val deactivate : t -> int -> unit
 (** Deactivates a node (and logically its whole subtree), updating
     active counts and representatives on the path to the root. *)
-
-val is_active : t -> int -> bool
 
 val root_active_count : t -> int
 (** Number of points not covered by any deactivated node. *)
@@ -123,14 +101,10 @@ val point_is_active : t -> int -> bool
 (** True iff no node on the path from point [i]'s leaf to the root has
     been deactivated. *)
 
-val active_count_in_ball : t -> center:Cso_metric.Point.t -> radius:float ->
-  eps:float -> int
-(** Sum of active counts over the canonical nodes of the (active) query:
-    approximately [|B(c,r) cap active P|]. *)
-
 val active_count_in_ball_idx : t -> center:int -> radius:float ->
   eps:float -> int
-(** Index-centered {!active_count_in_ball}. *)
+(** Sum of active counts over the canonical nodes of the active query
+    centered at point [center]: approximately [|B(c,r) cap active P|]. *)
 
 val budgets : Cso_obs.Obs.Budget.t list
 (** Declared complexity budget for the per-query node-visit histogram

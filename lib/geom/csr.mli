@@ -12,20 +12,9 @@
     row [i] occupies [ids.(offsets.(i) .. offsets.(i+1) - 1)]. *)
 
 type t = private {
-  offsets : int array;  (** length [rows + 1]; [offsets.(0) = 0] *)
+  offsets : int array;  (** one more than the rows; [offsets.(0) = 0] *)
   ids : int array;  (** length [offsets.(rows)] *)
 }
 
 val of_lists : int list array -> t
 (** Flatten, preserving row and element order. *)
-
-val rows : t -> int
-val entries : t -> int
-
-val row_length : t -> int -> int
-
-val iter_row : t -> int -> (int -> unit) -> unit
-(** [iter_row t i f] applies [f] to row [i]'s elements in order. *)
-
-val fold_row : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Left fold over row [i] in element order. *)

@@ -307,13 +307,13 @@ let set_point_weights t w =
     t.seg_of
 
 let node_weight t gid = t.weight.(gid)
+let node_weights t = t.weight
 
 let add_weight2 t gid w = t.weight2.(gid) <- t.weight2.(gid) +. w
 let node_weight2 t gid = t.weight2.(gid)
 let reset_weight2 t = Array.fill t.weight2 0 (Array.length t.weight2) 0.0
 
 let add_mark t gid = t.mark.(gid) <- t.mark.(gid) + 1
-let node_mark t gid = t.mark.(gid)
 let reset_marks t = Array.fill t.mark 0 (Array.length t.mark) 0
 
 let fold_point_paths t i ~init ~f =

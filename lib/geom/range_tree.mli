@@ -48,6 +48,12 @@ val set_point_weights : t -> float array -> unit
 val node_weight : t -> int -> float
 (** Aggregated weight of a canonical node (sum of its points' weights). *)
 
+val node_weights : t -> float array
+(** Every node's aggregated weight, indexed by node id: the tree's own
+    array, not a copy, overwritten by each {!set_point_weights}. Hot
+    loops read it directly instead of calling {!node_weight} per
+    node. Callers must not write to it. *)
+
 val node_count : t -> int -> int
 
 val node_points : t -> int -> int list
@@ -57,7 +63,6 @@ val node_weight2 : t -> int -> float
 val reset_weight2 : t -> unit
 
 val add_mark : t -> int -> unit
-val node_mark : t -> int -> int
 val reset_marks : t -> unit
 
 val fold_point_paths : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a

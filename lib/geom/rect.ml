@@ -36,18 +36,6 @@ let contains r (p : Point.t) =
   in
   go 0
 
-let contains_rect outer inner =
-  let n = dim outer in
-  dim inner = n
-  &&
-  let rec go i =
-    i >= n
-    || (outer.lo.(i) <= inner.lo.(i)
-        && inner.hi.(i) <= outer.hi.(i)
-        && go (i + 1))
-  in
-  go 0
-
 let intersects a b =
   let n = dim a in
   dim b = n

@@ -24,9 +24,6 @@ val unbounded : int -> t
 val contains : t -> Cso_metric.Point.t -> bool
 (** Closed containment test. *)
 
-val contains_rect : t -> t -> bool
-(** [contains_rect outer inner]. *)
-
 val intersects : t -> t -> bool
 (** Closed-interval overlap test. *)
 

@@ -110,7 +110,9 @@ let run ~m ~width ~eps ?rounds ?warm_weights ?on_round ?on_weights ~oracle
           if Obs.enabled () then begin
             (* Sequential count so the bucket vector is deterministic. *)
             let violated = ref 0 in
-            Array.iter (fun x -> if x < 0.0 then incr violated) v;
+            for i = 0 to m - 1 do
+              if v.(i) < 0.0 then incr violated
+            done;
             Obs.Hist.observe h_violated !violated
           end;
           (match on_round with

@@ -268,6 +268,70 @@ let test_mwu_on_round_trace () =
        prepared ~r);
   Alcotest.(check int) "one callback per round" 40 !seen
 
+(* [top_k]'s tie rule, on arrays built to tie: weights from a
+   3-element set plus nan and both zeros, k up to n + 2. The answer is
+   the first k of a stable sort by weight descending, i.e. ties to the
+   lower index. *)
+let prop_top_k_total_order =
+  let gen =
+    QCheck.Gen.(
+      triple (float_range (-2.0) 2.0) (float_range (-2.0) 2.0)
+        (float_range (-2.0) 2.0)
+      >>= fun (a, b, c) ->
+      int_range 0 30 >>= fun n ->
+      array_size (return n) (oneofl [ a; b; c; Float.nan; 0.0; -0.0 ])
+      >>= fun w ->
+      int_range 0 (n + 2) >|= fun k -> (w, k))
+  in
+  let print (w, k) =
+    Printf.sprintf "k=%d w=[%s]" k
+      (String.concat "; " (Array.to_list (Array.map string_of_float w)))
+  in
+  QCheck.Test.make ~name:"top_k = stable sort by weight desc, index asc"
+    ~count:500 (QCheck.make ~print gen) (fun (w, k) ->
+      let sorted =
+        List.stable_sort
+          (fun (_, a) (_, b) -> Float.compare b a)
+          (List.mapi (fun i x -> (i, x)) (Array.to_list w))
+      in
+      Gcso_general.top_k w k
+      = List.filteri (fun i _ -> i < k) (List.map fst sorted))
+
+(* Allocation gate: an MWU round of [solve_at] allocates only its O(k+z)
+   chosen-index lists, never per point or per canonical node. Minor
+   words per round come from the difference of two runs, so the
+   per-guess set-up (ball queries, CSR, buffers) cancels; one domain,
+   so every word lands on the measuring domain. The bound does not
+   depend on n: 64 words per unit of k + z (about 25 measured). *)
+let test_round_allocation () =
+  with_domains 1 (fun () ->
+      List.iter
+        (fun n ->
+          let w =
+            Planted.gcso_overlapping (Random.State.make [| 14 |]) ~n ~k:4 ~z:2
+          in
+          let g = w.Planted.geo in
+          let p = Gcso_general.prepare g in
+          let words rounds =
+            let before = Gc.minor_words () in
+            let sol =
+              Gcso_general.solve_at ~eps:0.06 ~rounds p ~r:w.Planted.g_opt_upper
+            in
+            let after = Gc.minor_words () in
+            Alcotest.(check bool)
+              (Printf.sprintf "n=%d feasible for all %d rounds" n rounds)
+              true (sol <> None);
+            after -. before
+          in
+          let per_round = (words 40 -. words 8) /. 32.0 in
+          let bound =
+            64.0 *. float_of_int (g.Geo_instance.k + g.Geo_instance.z)
+          in
+          if per_round > bound then
+            Alcotest.failf "n=%d: %.0f minor words per MWU round > %.0f" n
+              per_round bound)
+        [ 512; 4096 ])
+
 (* --- incremental rect updates --- *)
 
 (* Orphan protection: deleting a rectangle that is the sole cover of a
@@ -431,6 +495,9 @@ let suite =
       test_batched_oracle_obs_disabled;
     QCheck_alcotest.to_alcotest prop_batched_oracle_identity;
     Alcotest.test_case "mwu round trace" `Quick test_mwu_on_round_trace;
+    QCheck_alcotest.to_alcotest prop_top_k_total_order;
+    Alcotest.test_case "mwu round allocates O(k+z) words" `Quick
+      test_round_allocation;
     Alcotest.test_case "delete_rect orphan witness" `Quick
       test_delete_rect_orphan_witness;
     Alcotest.test_case "rect update forces re-solve (regression)" `Quick

@@ -119,13 +119,13 @@ let test_bbd_weights_paths () =
      path-sum at point l must equal sum of sigma_i over balls containing l
      (up to the eps slack of the query). Use eps tiny and well-separated
      radii so approximation cannot flip membership. *)
-  Bbd_tree.reset_weights tree;
+  let weight = Array.make (Bbd_tree.n_nodes tree) 0.0 in
   let radius = 30.0 and eps = 1e-9 in
   let sigma = Array.init 30 (fun i -> float_of_int (i + 1)) in
   Array.iteri
     (fun i _ ->
       let nodes = Bbd_tree.ball_query tree ~center:pts.(i) ~radius ~eps in
-      List.iter (fun u -> Bbd_tree.add_weight tree u sigma.(i)) nodes)
+      List.iter (fun u -> weight.(u) <- weight.(u) +. sigma.(i)) nodes)
     pts;
   let ok = ref true in
   for l = 0 to 29 do
@@ -133,7 +133,7 @@ let test_bbd_weights_paths () =
       Bbd_tree.fold_path_to_root tree
         (Bbd_tree.leaf_of_point tree l)
         ~init:0.0
-        ~f:(fun acc u -> acc +. Bbd_tree.get_weight tree u)
+        ~f:(fun acc u -> acc +. weight.(u))
     in
     let brute =
       Array.to_list sigma
